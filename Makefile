@@ -32,6 +32,7 @@ bench-smoke:
 # per invocation). Override FUZZTIME for longer campaigns.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzConfigurationJSON -fuzztime=$(FUZZTIME) ./internal/vjob
+	$(GO) test -run=^$$ -fuzz=FuzzConfigurationOps -fuzztime=$(FUZZTIME) ./internal/vjob
 	$(GO) test -run=^$$ -fuzz=FuzzDomainOps$$ -fuzztime=$(FUZZTIME) ./internal/cp
 	$(GO) test -run=^$$ -fuzz=FuzzBoundsDomainOps -fuzztime=$(FUZZTIME) ./internal/cp
 	$(GO) test -run=^$$ -fuzz=FuzzTraceDecode -fuzztime=$(FUZZTIME) ./internal/trace
@@ -65,7 +66,8 @@ bench-regress:
 	$(GO) test -run '^$$' -bench 'BenchmarkMinimizePortfolioWorkers' -benchtime=100x ./internal/cp > $(BENCH_REGRESS_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkLoopEventIteration|BenchmarkLoopPeriodicIteration|BenchmarkLoopTracingOff|BenchmarkLoopAttributionOff|BenchmarkPartitionSplit' -benchtime=100x ./internal/core >> $(BENCH_REGRESS_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkChurnLoop|BenchmarkDrainEvacuation|BenchmarkMultiResourceSolve|BenchmarkRepairStorm|BenchmarkMigrationStudy|BenchmarkChaosStudy' -benchtime=100x ./internal/experiments >> $(BENCH_REGRESS_OUT)
-	$(GO) run ./cmd/benchregress -factor 3 -bench $(BENCH_REGRESS_OUT) BENCH_ci.json BENCH_eventloop.json BENCH_drain.json BENCH_multires.json BENCH_repair.json BENCH_migration.json BENCH_chaos.json BENCH_obs.json BENCH_attrib.json
+	$(GO) test -run '^$$' -bench 'BenchmarkRunningOnSweep' -benchtime=100x ./internal/vjob >> $(BENCH_REGRESS_OUT)
+	$(GO) run ./cmd/benchregress -factor 3 -bench $(BENCH_REGRESS_OUT) BENCH_ci.json BENCH_eventloop.json BENCH_drain.json BENCH_multires.json BENCH_repair.json BENCH_migration.json BENCH_chaos.json BENCH_obs.json BENCH_attrib.json BENCH_vjob_index.json
 
 # Remove the CI gate's by-products (all three are gitignored; this
 # keeps a dirty checkout tidy).

@@ -338,44 +338,9 @@ type resourceJSON struct {
 	Capacity int `json:"capacity"`
 }
 
-// nodeLoad is the per-node aggregation of one walk over the VM set.
-type nodeLoad struct {
-	used              resources.Vector
-	running, sleeping []string
-}
-
-// loadByNode groups usage and guests by hosting node in one O(VMs)
-// pass — per-node UsedCPU/RunningOn calls each rescan the whole VM
-// set, which would make the node endpoints O(nodes x VMs) inside the
-// Exec critical section.
-func loadByNode(cfg *vjob.Configuration) map[string]*nodeLoad {
-	out := make(map[string]*nodeLoad)
-	get := func(node string) *nodeLoad {
-		ld := out[node]
-		if ld == nil {
-			ld = &nodeLoad{}
-			out[node] = ld
-		}
-		return ld
-	}
-	for _, v := range cfg.VMs() {
-		switch cfg.StateOf(v.Name) {
-		case vjob.Running:
-			ld := get(cfg.HostOf(v.Name))
-			ld.used = ld.used.Add(v.Demand)
-			ld.running = append(ld.running, v.Name)
-		case vjob.Sleeping:
-			ld := get(cfg.ImageHostOf(v.Name))
-			ld.sleeping = append(ld.sleeping, v.Name)
-		}
-	}
-	return out
-}
-
-// nodeStatus renders one node from the precomputed load map; ok is
-// false when the name is neither a configured node nor a draining
-// (offline) one. Callers hold Exec.
-func (s *Server) nodeStatus(cfg *vjob.Configuration, load map[string]*nodeLoad, name string) (nodeJSON, bool) {
+// nodeStatus renders one node; ok is false when the name is neither a
+// configured node nor a draining (offline) one. Callers hold Exec.
+func (s *Server) nodeStatus(cfg *vjob.Configuration, name string) (nodeJSON, bool) {
 	out := nodeJSON{Name: name, Draining: s.Drains.IsDrained(name)}
 	n := cfg.Node(name)
 	if n == nil {
@@ -387,11 +352,8 @@ func (s *Server) nodeStatus(cfg *vjob.Configuration, load map[string]*nodeLoad, 
 		return out, true
 	}
 	out.CPU, out.Memory = n.CPU(), n.Memory()
-	var used resources.Vector
-	if ld := load[name]; ld != nil {
-		used = ld.used
-		out.Running, out.Sleeping = ld.running, ld.sleeping
-	}
+	used := cfg.Used(name)
+	out.Running, out.Sleeping = vmNames(cfg.RunningOn(name)), vmNames(cfg.SleepingOn(name))
 	out.UsedCPU = used.Get(resources.CPU)
 	out.UsedMemory = used.Get(resources.Memory)
 	for _, k := range resources.Kinds() {
@@ -435,17 +397,26 @@ func pinningVJobs(cfg *vjob.Configuration, sleeping []string) []string {
 	return out
 }
 
+// vmNames returns the names of the VMs, in the same order (nil when
+// there are none, so empty guest lists stay omitted).
+func vmNames(vms []*vjob.VM) []string {
+	var out []string
+	for _, v := range vms {
+		out = append(out, v.Name)
+	}
+	return out
+}
+
 // nodeListLocked renders every node's status, name-sorted, including
 // draining nodes already taken offline. Callers hold Exec; it backs
 // both GET /v1/nodes and the watch/state nodes stream, so a stream
 // resync converges to exactly what a poll would report.
 func (s *Server) nodeListLocked() []nodeJSON {
 	cfg := s.Config()
-	load := loadByNode(cfg)
 	var out []nodeJSON
 	seen := make(map[string]bool)
 	for _, n := range cfg.Nodes() {
-		st, _ := s.nodeStatus(cfg, load, n.Name)
+		st, _ := s.nodeStatus(cfg, n.Name)
 		out = append(out, st)
 		seen[n.Name] = true
 	}
@@ -453,7 +424,7 @@ func (s *Server) nodeListLocked() []nodeJSON {
 	// state: list them too.
 	for _, name := range s.Drains.Nodes() {
 		if !seen[name] {
-			st, _ := s.nodeStatus(cfg, load, name)
+			st, _ := s.nodeStatus(cfg, name)
 			out = append(out, st)
 		}
 	}
@@ -481,7 +452,7 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	var ok bool
 	s.exec(func() {
 		cfg := s.Config()
-		st, ok = s.nodeStatus(cfg, loadByNode(cfg), id)
+		st, ok = s.nodeStatus(cfg, id)
 	})
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown node %q", id)
@@ -514,14 +485,10 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			if s.Notify != nil {
-				ev := core.Event{Kind: core.NodeDown, At: now(s), Nodes: []string{id}}
-				for _, v := range cfg.RunningOn(id) {
-					ev.VMs = append(ev.VMs, v.Name)
-				}
-				s.Notify(ev)
+				s.Notify(core.Event{Kind: core.NodeDown, At: now(s), Nodes: []string{id}, VMs: vmNames(cfg.RunningOn(id))})
 			}
 		}
-		st, _ = s.nodeStatus(cfg, loadByNode(cfg), id)
+		st, _ = s.nodeStatus(cfg, id)
 	})
 	switch {
 	case !ok:
@@ -561,8 +528,7 @@ func (s *Server) handleUndrain(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		// Re-observe: OnUndrain may have brought the node back online.
-		fresh := s.Config()
-		st, _ = s.nodeStatus(fresh, loadByNode(fresh), id)
+		st, _ = s.nodeStatus(s.Config(), id)
 	})
 	switch {
 	case !ok:

@@ -111,7 +111,8 @@ type ChurnResult struct {
 	Arrived, Completed int
 	// End is the virtual time the simulation went quiescent.
 	End float64
-	// Wall is the real time the run took (dominated by solver budget).
+	// Wall is the real time from starting the loop until the simulator
+	// run returns; building the cluster beforehand is excluded.
 	Wall time.Duration
 	// Episodes counts closed violation episodes
 	// (monitor.WatchRecovery); Recoveries and Remediations are the

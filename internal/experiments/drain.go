@@ -184,10 +184,8 @@ func RunDrain(opts DrainOptions) DrainResult {
 	}
 	res.Drained = count
 	drained := make([]string, count)
-	drainedSet := make(map[string]bool, count)
 	for i := 0; i < count; i++ {
 		drained[i] = fmt.Sprintf("node%03d", i*opts.Nodes/count)
-		drainedSet[drained[i]] = true
 	}
 	c.Schedule(opts.DrainAt, func() {
 		for _, n := range drained {
@@ -201,10 +199,10 @@ func RunDrain(opts DrainOptions) DrainResult {
 	})
 
 	// drainedLoad reports whether any drained node still hosts a
-	// running VM, in one O(VMs) pass.
+	// running VM.
 	drainedLoad := func() bool {
-		for _, v := range cfg.VMs() {
-			if cfg.StateOf(v.Name) == vjob.Running && drainedSet[cfg.HostOf(v.Name)] {
+		for _, n := range drained {
+			if len(cfg.RunningOn(n)) > 0 {
 				return true
 			}
 		}

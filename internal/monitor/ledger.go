@@ -159,7 +159,7 @@ type nodeDim struct{ node, kind string }
 // dominantConsumers resolves, for every violated (node, dimension),
 // the vjob of the running VM with the largest demand on that
 // dimension (smallest VM name on ties; the VM's own name when it has
-// no vjob). One O(VMs) pass, only taken while violations exist.
+// no vjob). It reads only the violated nodes' guests.
 func dominantConsumers(cfg *vjob.Configuration, viols []vjob.Violation) map[nodeDim]string {
 	if len(viols) == 0 {
 		return nil
@@ -176,28 +176,22 @@ func dominantConsumers(cfg *vjob.Configuration, viols []vjob.Violation) map[node
 		owner  string
 	}
 	best := make(map[nodeDim]top, len(viols))
-	for _, vm := range cfg.VMs() {
-		if cfg.StateOf(vm.Name) != vjob.Running {
-			continue
-		}
-		host := cfg.HostOf(vm.Name)
-		ks, hot := kinds[host]
-		if !hot {
-			continue
-		}
-		for _, k := range ks {
-			d := vm.Demand.Get(k)
-			if d == 0 {
-				continue
-			}
-			key := nodeDim{host, k.String()}
-			cur, ok := best[key]
-			if !ok || d > cur.demand || (d == cur.demand && vm.Name < cur.vm) {
-				owner := vm.VJob
-				if owner == "" {
-					owner = vm.Name
+	for host, ks := range kinds {
+		for _, vm := range cfg.RunningOn(host) {
+			for _, k := range ks {
+				d := vm.Demand.Get(k)
+				if d == 0 {
+					continue
 				}
-				best[key] = top{demand: d, vm: vm.Name, owner: owner}
+				key := nodeDim{host, k.String()}
+				cur, ok := best[key]
+				if !ok || d > cur.demand || (d == cur.demand && vm.Name < cur.vm) {
+					owner := vm.VJob
+					if owner == "" {
+						owner = vm.Name
+					}
+					best[key] = top{demand: d, vm: vm.Name, owner: owner}
+				}
 			}
 		}
 	}

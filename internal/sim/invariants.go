@@ -40,10 +40,6 @@ func WatchInvariants(c *Cluster) *Invariants {
 
 func (w *Invariants) audit() {
 	cfg := w.c.Config()
-	// One O(nodes + VMs) pass: the audit runs after every event, so the
-	// per-node UsedCPU/UsedMemory rescans would be quadratic. Usage
-	// above capacity is Violations' business; usage below zero means
-	// free above capacity.
 	// Node lifecycle (drain/offline) must never strand a placement:
 	// every VM's location — hosting node or image node — has to refer
 	// to a node still present in the configuration. SetNodeOffline
@@ -55,10 +51,12 @@ func (w *Invariants) audit() {
 			w.structural++
 		}
 	}
-	free := cfg.FreeResources()
+	// Usage above capacity is Violations' business; usage below zero
+	// means free above capacity.
 	for _, n := range cfg.Nodes() {
+		free := cfg.Free(n.Name)
 		for _, k := range resources.Kinds() {
-			if got, cap := free[n.Name].Get(k), n.Capacity.Get(k); got > cap {
+			if got, cap := free.Get(k), n.Capacity.Get(k); got > cap {
 				w.errs = append(w.errs, fmt.Errorf("sim: t=%.1f: node %s has negative %s usage %d", w.c.Now(), n.Name, k, cap-got))
 				w.structural++
 			}

@@ -2,6 +2,7 @@ package vjob
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -17,12 +18,20 @@ import (
 // A Configuration is a plain value-like structure: Clone returns a deep
 // copy of the mapping (nodes and VMs themselves are shared, since the
 // planner never mutates them).
+//
+// A per-node index (running and sleeping maps) mirrors the placement so
+// per-node queries cost O(guests on the node). Its slices are shared
+// with clones and never written in place: every mutator builds a new
+// slice for the node it touches.
 type Configuration struct {
 	nodes map[string]*Node
 	vms   map[string]*VM
 
 	state     map[string]State  // VM name -> state
 	placement map[string]string // VM name -> node name (running host or image host)
+
+	running  map[string][]*VM // node name -> running guests, name-sorted
+	sleeping map[string][]*VM // node name -> sleeping images, name-sorted
 
 	nodeOrder []string // sorted node names, for deterministic iteration
 	vmOrder   []string // sorted VM names
@@ -35,6 +44,8 @@ func NewConfiguration() *Configuration {
 		vms:       make(map[string]*VM),
 		state:     make(map[string]State),
 		placement: make(map[string]string),
+		running:   make(map[string][]*VM),
+		sleeping:  make(map[string][]*VM),
 	}
 }
 
@@ -52,6 +63,7 @@ func (c *Configuration) AddVM(v *VM) {
 	if _, ok := c.vms[v.Name]; !ok {
 		c.vmOrder = insertSorted(c.vmOrder, v.Name)
 	}
+	c.unindex(v.Name)
 	c.vms[v.Name] = v
 	c.state[v.Name] = Waiting
 	delete(c.placement, v.Name)
@@ -65,8 +77,9 @@ func (c *Configuration) RemoveNode(name string) error {
 	if _, ok := c.nodes[name]; !ok {
 		return fmt.Errorf("vjob: unknown node %q", name)
 	}
-	for vm, loc := range c.placement {
-		if loc == name {
+	for _, held := range [][]*VM{c.running[name], c.sleeping[name]} {
+		if len(held) > 0 {
+			vm := held[0].Name
 			return fmt.Errorf("vjob: node %s still holds %s (%v)", name, vm, c.state[vm])
 		}
 	}
@@ -84,6 +97,7 @@ func (c *Configuration) RemoveVM(name string) {
 	if _, ok := c.vms[name]; !ok {
 		return
 	}
+	c.unindex(name)
 	delete(c.vms, name)
 	delete(c.state, name)
 	delete(c.placement, name)
@@ -99,6 +113,59 @@ func insertSorted(s []string, v string) []string {
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
+}
+
+// guests returns the per-node index of a state, nil for the states
+// that hold no location.
+func (c *Configuration) guests(s State) map[string][]*VM {
+	switch s {
+	case Running:
+		return c.running
+	case Sleeping:
+		return c.sleeping
+	}
+	return nil
+}
+
+// unindex drops the VM from the per-node index entry of its current
+// placement, if any.
+func (c *Configuration) unindex(vm string) {
+	idx := c.guests(c.state[vm])
+	if idx == nil {
+		return
+	}
+	node := c.placement[vm]
+	old := idx[node]
+	i := searchVMs(old, vm)
+	if i == len(old) || old[i].Name != vm {
+		return
+	}
+	if len(old) == 1 {
+		delete(idx, node)
+		return
+	}
+	rest := make([]*VM, 0, len(old)-1)
+	idx[node] = append(append(rest, old[:i]...), old[i+1:]...)
+}
+
+// searchVMs returns the position of the name in a name-sorted slice,
+// or where it would be inserted.
+func searchVMs(s []*VM, name string) int {
+	return sort.Search(len(s), func(i int) bool { return s[i].Name >= name })
+}
+
+// place moves a registered VM into a located state on the node,
+// keeping the per-node index.
+func (c *Configuration) place(vm string, s State, node string) {
+	c.unindex(vm)
+	c.state[vm] = s
+	c.placement[vm] = node
+	idx := c.guests(s)
+	old := idx[node]
+	i := searchVMs(old, vm)
+	grown := make([]*VM, 0, len(old)+1)
+	grown = append(append(grown, old[:i]...), c.vms[vm])
+	idx[node] = append(grown, old[i:]...)
 }
 
 // Node returns the node with the given name, or nil.
@@ -136,8 +203,7 @@ func (c *Configuration) SetRunning(vm, node string) error {
 	if err := c.check(vm, node); err != nil {
 		return err
 	}
-	c.state[vm] = Running
-	c.placement[vm] = node
+	c.place(vm, Running, node)
 	return nil
 }
 
@@ -147,8 +213,7 @@ func (c *Configuration) SetSleeping(vm, node string) error {
 	if err := c.check(vm, node); err != nil {
 		return err
 	}
-	c.state[vm] = Sleeping
-	c.placement[vm] = node
+	c.place(vm, Sleeping, node)
 	return nil
 }
 
@@ -157,6 +222,7 @@ func (c *Configuration) SetWaiting(vm string) error {
 	if _, ok := c.vms[vm]; !ok {
 		return fmt.Errorf("vjob: unknown VM %q", vm)
 	}
+	c.unindex(vm)
 	c.state[vm] = Waiting
 	delete(c.placement, vm)
 	return nil
@@ -203,26 +269,16 @@ func (c *Configuration) ImageHostOf(vm string) string {
 // (hosting node when running, image node when sleeping, "" otherwise).
 func (c *Configuration) LocationOf(vm string) string { return c.placement[vm] }
 
-// RunningOn returns the VMs running on the named node, in name order.
+// RunningOn returns the VMs running on the named node, in name order,
+// in O(guests on the node). The slice is the caller's own.
 func (c *Configuration) RunningOn(node string) []*VM {
-	var out []*VM
-	for _, name := range c.vmOrder {
-		if c.state[name] == Running && c.placement[name] == node {
-			out = append(out, c.vms[name])
-		}
-	}
-	return out
+	return append([]*VM(nil), c.running[node]...)
 }
 
-// SleepingOn returns the VMs whose suspended image lies on the node.
+// SleepingOn returns the VMs whose suspended image lies on the node, in
+// name order, in O(images on the node). The slice is the caller's own.
 func (c *Configuration) SleepingOn(node string) []*VM {
-	var out []*VM
-	for _, name := range c.vmOrder {
-		if c.state[name] == Sleeping && c.placement[name] == node {
-			out = append(out, c.vms[name])
-		}
-	}
-	return out
+	return append([]*VM(nil), c.sleeping[node]...)
 }
 
 // InState returns the VMs currently in the given state, in name order.
@@ -237,10 +293,12 @@ func (c *Configuration) InState(s State) []*VM {
 }
 
 // Used returns the per-dimension demand of the VMs running on the
-// node. It rescans the VM set; hot paths use FreeResources instead.
+// node, in O(guests on the node). It sums afresh on every call: VM
+// demands change in place (SetCPUDemand) on objects clones share, so
+// the index caches no per-node sums.
 func (c *Configuration) Used(node string) resources.Vector {
 	var sum resources.Vector
-	for _, v := range c.RunningOn(node) {
+	for _, v := range c.running[node] {
 		sum = sum.Add(v.Demand)
 	}
 	return sum
@@ -284,50 +342,32 @@ func (c *Configuration) Fits(v *VM, node string) bool {
 }
 
 // FreeResources returns the free resources of every node, every
-// dimension at once, in one O(nodes + VMs) pass. Hot paths (the FFD
-// heuristic, plan pool extraction, the cost model, monitoring) use it
-// instead of calling Free per node, which rescans the whole VM set
-// each call and turns thousand-node clusters quadratic.
+// dimension at once, as a map keyed by node name. It costs
+// O(nodes + running VMs), the same as calling Free on every node.
 func (c *Configuration) FreeResources() map[string]resources.Vector {
 	free := make(map[string]resources.Vector, len(c.nodes))
 	for name, n := range c.nodes {
-		free[name] = n.Capacity
-	}
-	for vm, st := range c.state {
-		if st != Running {
-			continue
-		}
-		node := c.placement[vm]
-		free[node] = free[node].Sub(c.vms[vm].Demand)
+		free[name] = n.Capacity.Sub(c.Used(name))
 	}
 	return free
 }
 
 // Clone returns a deep copy of the placement and state mapping. Node
 // and VM objects are shared: they are immutable from the planner's
-// point of view.
+// point of view. The per-node index slices are shared too; mutators
+// replace them rather than write them, so neither side sees the
+// other's changes.
 func (c *Configuration) Clone() *Configuration {
-	out := &Configuration{
-		nodes:     make(map[string]*Node, len(c.nodes)),
-		vms:       make(map[string]*VM, len(c.vms)),
-		state:     make(map[string]State, len(c.state)),
-		placement: make(map[string]string, len(c.placement)),
+	return &Configuration{
+		nodes:     maps.Clone(c.nodes),
+		vms:       maps.Clone(c.vms),
+		state:     maps.Clone(c.state),
+		placement: maps.Clone(c.placement),
+		running:   maps.Clone(c.running),
+		sleeping:  maps.Clone(c.sleeping),
 		nodeOrder: append([]string(nil), c.nodeOrder...),
 		vmOrder:   append([]string(nil), c.vmOrder...),
 	}
-	for k, v := range c.nodes {
-		out.nodes[k] = v
-	}
-	for k, v := range c.vms {
-		out.vms[k] = v
-	}
-	for k, v := range c.state {
-		out.state[k] = v
-	}
-	for k, v := range c.placement {
-		out.placement[k] = v
-	}
-	return out
 }
 
 // Equal reports whether the two configurations have the same nodes,
