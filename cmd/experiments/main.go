@@ -381,7 +381,6 @@ func writeTrace(path string, spans []obs.SpanRecord) {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d spans)\n", path, len(spans))
 }
 
-// writeCSV stores content under dir when -csv was given.
 // printAttribution is the CLI mirror of GET /v1/violations: one line
 // per study row naming who absorbed the violation exposure. Silent
 // for clean runs.
@@ -402,6 +401,7 @@ func printAttribution(label string, led *monitor.Ledger) {
 	fmt.Println()
 }
 
+// writeCSV stores content under dir when -csv was given.
 func writeCSV(dir, name, content string) {
 	if dir == "" {
 		return

@@ -60,22 +60,44 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "tracing disabled")
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "watch: streaming unsupported")
-		return
-	}
 	buf := s.WatchBuffer
 	if buf <= 0 {
 		buf = 256
 	}
-	sub := s.Trace.Subscribe(buf)
-	defer sub.Close()
+	serveSSE(s, w, r, "watch",
+		func() (<-chan obs.StreamEvent, string, func()) {
+			sub := s.Trace.Subscribe(buf)
+			return sub.C, fmt.Sprintf(`{"drops":%d}`, s.Trace.WatchDrops()), sub.Close
+		},
+		func(ev obs.StreamEvent) (string, []byte, bool) {
+			data, err := json.Marshal(ev)
+			return "span", data, err == nil
+		})
+}
+
+// serveSSE is the Server-Sent Events loop behind /v1/watch and
+// /v1/watch/state. Once the writer is known to stream, open subscribes
+// and returns the event channel, the hello frame's data and a release
+// func. Every value then renders to one flushed frame (frame's ok=false
+// skips it), a comment heartbeat fills each WatchHeartbeat of silence
+// (15 s by default), and a closed channel — the producer dropped this
+// subscriber as too slow — ends the stream with a terminal `dropped`
+// event. It returns when the client goes away.
+func serveSSE[T any](s *Server, w http.ResponseWriter, r *http.Request, route string,
+	open func() (events <-chan T, hello string, release func()),
+	frame func(T) (event string, data []byte, ok bool)) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, http.StatusNotImplemented, "%s: streaming unsupported", route)
+		return
+	}
+	events, hello, release := open()
+	defer release()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "event: hello\ndata: {\"drops\":%d}\n\n", s.Trace.WatchDrops())
+	fmt.Fprintf(w, "event: hello\ndata: %s\n\n", hello)
 	fl.Flush()
 
 	hb := s.WatchHeartbeat
@@ -88,18 +110,17 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, ok := <-sub.C:
+		case v, ok := <-events:
 			if !ok {
-				// The tracer dropped this subscriber as too slow; say
-				// goodbye if the pipe still works and disconnect.
+				// Say goodbye if the pipe still works and disconnect.
 				fmt.Fprint(w, "event: dropped\ndata: {}\n\n")
 				return
 			}
-			data, err := json.Marshal(ev)
-			if err != nil {
+			event, data, ok := frame(v)
+			if !ok {
 				continue
 			}
-			fmt.Fprintf(w, "event: span\ndata: %s\n\n", data)
+			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 			fl.Flush()
 		case <-ticker.C:
 			fmt.Fprint(w, ": heartbeat\n\n")

@@ -30,11 +30,13 @@ func traceTestbed(t *testing.T, nodes, cpu, mem int) (*testbed, *obs.Tracer) {
 }
 
 // churn drives one reconfiguration episode: an overload arrival the
-// loop has to migrate away, producing spans across the pipeline.
+// loop has to migrate away, producing spans across the pipeline. The
+// placement runs under the sim mutex too, since callers may already
+// have readers of the configuration running.
 func (b *testbed) churn(t *testing.T) {
 	t.Helper()
-	b.place("ja", 2, 2, 1024, []string{"node000", "node000"})
 	b.locked(func() {
+		b.place("ja", 2, 2, 1024, []string{"node000", "node000"})
 		b.loop.Notify(b.act, core.Event{
 			Kind: core.VMArrival, At: b.c.Now(),
 			VMs: []string{"ja-vm0", "ja-vm1"}, Nodes: []string{"node000"},

@@ -5,20 +5,14 @@ import (
 	"embed"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"cwcs/internal/core"
-	"cwcs/internal/drivers"
-	"cwcs/internal/duration"
-	"cwcs/internal/monitor"
-	"cwcs/internal/obs"
-	"cwcs/internal/sched"
 	"cwcs/internal/sim"
 	"cwcs/internal/trace"
 	"cwcs/internal/vjob"
-	"cwcs/internal/workload"
 )
 
 // The chaos study replays the churn scenario under one adversarial
@@ -26,13 +20,12 @@ import (
 // windowed monitoring-event loss, an action-failure storm — plus a
 // trace-replay cell driving the loop from a recorded workload, and
 // reports recovery-time distributions (p50/p95/max of violation
-// episodes, monitor.WatchRecovery) and structural-breach counts per
-// cell. The structural audit is always on: chaos that corrupts the
+// episodes) and structural-breach counts per cell. The structural audit is always on: chaos that corrupts the
 // configuration must fail the study, not just raise exposure.
 //
-// Every cell draws its chaos randomness from a dedicated stream at
-// Seed+3 (bursts first, then flaps, then the event-loss filter), so
-// the published Seed/Seed+1/Seed+2 streams of the workload generator,
+// Every cell draws its chaos randomness (the burst plan, the flap plan
+// or the event-loss filter) from a dedicated stream at Seed+3, so the
+// runner's Seed/Seed+1/Seed+2 streams of the workload generator,
 // arrivals and action failures stay byte-identical to the churn and
 // repair-storm studies.
 
@@ -147,308 +140,121 @@ func (o ChaosOptions) resyncInterval() float64 {
 	return o.ResyncInterval
 }
 
-// ChaosResult is one scenario cell's measurements.
+// ChaosResult is one scenario cell's measurements. The structural
+// audit behind Breaches is always on (must be 0); RuleBreachSeconds
+// integrates drain rules breached while a failed node still hosted
+// VMs.
 type ChaosResult struct {
 	// Scenario is the cell name (ChaosScenarios).
 	Scenario string
-	// Episodes counts violation episodes; RecoveryP50/P95/Max are the
-	// nearest-rank quantiles of their lengths in virtual seconds
-	// (monitor.RecoveryLog). Unrecovered counts episodes still open
-	// at the horizon (censored: their partial length enters the
-	// distribution too).
-	Episodes                              int
-	RecoveryP50, RecoveryP95, RecoveryMax float64
-	Unrecovered                           int
-	// Breaches is the structural invariant-breach count (always
-	// audited; must be 0).
-	Breaches int
 	// Dropped counts monitoring events the loss filter discarded.
 	Dropped int
-	// ViolationSeconds integrates violation exposure over the run;
-	// FinalViolations is the count at the horizon.
-	ViolationSeconds float64
-	FinalViolations  int
-	// Stats is the loop telemetry; Switches the executed switches.
-	Stats    core.LoopStats
-	Switches int
-	// Arrived and Completed count vjobs over the run.
-	Arrived, Completed int
-	// End is the virtual time the run went quiescent; Wall the real
-	// time it took.
-	End  float64
-	Wall time.Duration
-	// MatchedEpisodes counts episodes a reconfiguration span covered;
-	// RemediationP50/P95/Max summarize the per-episode
-	// event-to-remediation times (obs.RemediationTimes — clamped to
-	// the recovery time, falling back to it when no span covers the
-	// episode).
-	MatchedEpisodes                                int
-	RemediationP50, RemediationP95, RemediationMax float64
-	// Spans is the retained span stream when CollectSpans is set.
-	Spans []obs.SpanRecord
-	// Ledger is the per-entity attribution behind ViolationSeconds
-	// (ViolationSeconds == Ledger.Total() by construction). TopVJob /
-	// TopNode name the worst-suffering vjob and node with their
-	// violation-second integrals; RuleBreachSeconds integrates drain
-	// rules breached while a failed node still hosted VMs.
-	Ledger            *monitor.Ledger
-	TopVJob           string
-	TopVJobSeconds    float64
-	TopNode           string
-	TopNodeSeconds    float64
-	RuleBreachSeconds float64
+	Outcome
 }
 
 // RunChaos replays one scenario cell. Unknown scenario names panic:
 // they are programmer errors, not measurements.
-func RunChaos(scenario string, opts ChaosOptions) ChaosResult {
+func RunChaos(cell string, opts ChaosOptions) ChaosResult {
+	if !slices.Contains(ChaosScenarios(), cell) {
+		panic(fmt.Sprintf("experiments: unknown chaos scenario %q", cell))
+	}
+	// Every cell audits structure and retains spans per the chaos
+	// options; only the storm cell spikes the flat action-failure
+	// rate, with the chaos options' window.
 	co := opts.Churn
-	genRng := rand.New(rand.NewSource(co.Seed))
-	arrRng := rand.New(rand.NewSource(co.Seed + 1))
-	failRng := rand.New(rand.NewSource(co.Seed + 2))
-	chaosRng := rand.New(rand.NewSource(co.Seed + 3))
-
-	cfg := vjob.NewConfiguration()
-	for i := 0; i < co.Nodes; i++ {
-		cfg.AddNode(vjob.NewNode(fmt.Sprintf("node%03d", i), co.NodeCPU, co.NodeMemory))
+	co.WatchInvariants = true
+	co.CollectSpans = opts.CollectSpans
+	co.StormRate, co.StormFrom, co.StormUntil = 0, 0, 0
+	if cell == ScenarioStorm {
+		co.StormRate, co.StormFrom, co.StormUntil = opts.StormRate, opts.StormFrom, opts.StormUntil
 	}
-	c := sim.New(cfg, duration.Default())
-	inv := sim.WatchInvariants(c)
-
-	res := ChaosResult{Scenario: scenario}
-
-	// The replay cell reads its population from the trace; every other
-	// cell uses the churn generator.
-	var jobs []*vjob.VJob
-	var replay *trace.Replay
-	queue := func() []*vjob.VJob { return jobs }
-	if scenario == ScenarioReplay {
-		queue = func() []*vjob.VJob { return replay.Jobs() }
-	}
-
-	// Span stream: reconfiguration spans feed the remediation columns
-	// (no randomness — the chaos Seed+3 stream stays byte-identical).
-	tracer := obs.NewTracer(0)
-	var reconfigs []obs.SpanRecord
-	tracer.OnClose(func(r obs.SpanRecord) {
-		if r.Kind == obs.KindReconfig.String() {
-			reconfigs = append(reconfigs, r)
-		}
-		if opts.CollectSpans {
-			res.Spans = append(res.Spans, r)
-		}
-	})
-
-	drains := &core.DrainSet{}
-	loop := &core.Loop{
-		Decision:    queueTerminator{c: c, inner: sched.Consolidation{}, queue: queue},
-		Optimizer:   core.Optimizer{Timeout: co.Timeout, Workers: co.Workers, Partitions: co.Partitions},
-		EventDriven: true,
-		Debounce:    co.Debounce,
-		RepairWiden: co.RepairWiden,
-		Drains:      drains,
-		Queue:       queue,
-		Trace:       tracer,
-	}
-	act := &drivers.Actuator{C: c, Trace: tracer}
-
-	// feed is the single monitoring path into the loop; the event-loss
-	// cell interposes the drop filter on it. One rng variate per
-	// offered event in that cell only — the other cells leave the
-	// chaos stream where the planners left it.
-	notify := func(ev core.Event) { loop.Notify(act, ev) }
-	feed := notify
-	if scenario == ScenarioLoss {
-		drop := opts.Loss.Dropper(chaosRng)
-		feed = func(ev core.Event) {
-			if drop(c.Now()) {
-				res.Dropped++
-				return
-			}
-			notify(ev)
-		}
-	}
-
-	c.OnLoadChange(func(vm string) {
-		feed(core.Event{Kind: core.LoadChange, At: c.Now(), VMs: []string{vm}})
-	})
-
-	// Action failures: the flat churn baseline everywhere, spiked by
-	// the storm window in the action-storm cell. Identical stream
-	// shape either way (one variate per action).
-	storm := sim.FailureStorm{Base: co.FailureRate}
-	if scenario == ScenarioStorm {
-		storm.Storm, storm.From, storm.Until = opts.StormRate, opts.StormFrom, opts.StormUntil
-	}
-	if storm.Base > 0 || storm.Storm > 0 {
-		c.InstallFailureStorm(failRng, storm)
-	}
-
-	if scenario == ScenarioReplay {
+	s := scenario{opts: co, eventDriven: true}
+	if cell == ScenarioReplay {
 		recs, err := SampleTrace(opts.Trace)
 		if err != nil {
 			panic(err)
 		}
-		replay = trace.StartReplay(c, recs, feed)
-	} else {
-		submit := func(i int) workload.Spec {
-			bench := workload.Benchmarks[i%len(workload.Benchmarks)]
-			class := workload.Classes[1+i%2]
-			spec := workload.NewSpec(fmt.Sprintf("vjob%03d", i), bench, class, co.VMsPerVJob, i, genRng)
-			scalePhases(&spec, co.WorkScale)
-			spec.Install(cfg, c)
-			jobs = append(jobs, spec.Job)
-			return spec
-		}
-		for i := 0; i < co.InitialVJobs; i++ {
-			submit(i)
-		}
-		res.Arrived = co.InitialVJobs
+		s.trace = recs
+	}
 
-		idx := co.InitialVJobs
-		var scheduleArrival func()
-		scheduleArrival = func() {
-			dt := arrRng.ExpFloat64() / co.ArrivalRate
-			at := c.Now() + dt
-			if at > co.ArrivalStop {
-				return
+	chaosRng := rand.New(rand.NewSource(co.Seed + 3))
+	dropped := 0
+	s.setup = func(e *episode) {
+		c := e.c
+		// A failed node cannot simply vanish — the sim refuses to drop
+		// a loaded node, and so would a real inventory — so a failure
+		// is an urgent evacuation (drain rule plus NodeDown), and
+		// recovery is the Undrain + NodeUp pair.
+		restore := func(n string) {
+			if e.drains.Undrain(n) {
+				e.notify(core.Event{Kind: core.NodeUp, At: c.Now(), Nodes: []string{n}})
 			}
-			c.Schedule(at, func() {
-				spec := submit(idx)
-				idx++
-				res.Arrived++
-				names := make([]string, len(spec.Job.VMs))
-				for i, v := range spec.Job.VMs {
-					names[i] = v.Name
+		}
+		switch cell {
+		case ScenarioLoss:
+			// The drop filter draws one rng variate per offered event,
+			// in this cell only.
+			drop := opts.Loss.Dropper(chaosRng)
+			next := e.feed
+			e.feed = func(ev core.Event) {
+				if drop(c.Now()) {
+					dropped++
+					return
 				}
-				feed(core.Event{Kind: core.VMArrival, At: c.Now(), VMs: names})
-				scheduleArrival()
+				next(ev)
+			}
+		case ScenarioBursts:
+			bursts := sim.PlanBursts(chaosRng, rackNames(co.Nodes, opts.Racks), sim.BurstOptions{
+				Count: opts.Bursts, From: opts.BurstFrom, Until: opts.BurstUntil, Outage: opts.Outage,
 			})
-		}
-		if co.ArrivalRate > 0 {
-			scheduleArrival()
-		}
-	}
-
-	// Node-level chaos. A failed node cannot simply vanish — the sim
-	// refuses to drop a loaded node, and so would a real inventory —
-	// so a failure is an urgent evacuation: a drain rule that forbids
-	// the node to the optimizer plus a NodeDown event, exactly the
-	// signal path of the maintenance lifecycle, and recovery is the
-	// Undrain + NodeUp pair.
-	fail := func(n string) {
-		if !drains.Drain(n) {
-			return
-		}
-		ev := core.Event{Kind: core.NodeDown, At: c.Now(), Nodes: []string{n}}
-		for _, v := range cfg.RunningOn(n) {
-			ev.VMs = append(ev.VMs, v.Name)
-		}
-		feed(ev)
-	}
-	recover := func(n string) {
-		if !drains.Undrain(n) {
-			return
-		}
-		feed(core.Event{Kind: core.NodeUp, At: c.Now(), Nodes: []string{n}})
-	}
-
-	switch scenario {
-	case ScenarioBursts:
-		bursts := sim.PlanBursts(chaosRng, rackNames(co.Nodes, opts.Racks), sim.BurstOptions{
-			Count: opts.Bursts, From: opts.BurstFrom, Until: opts.BurstUntil, Outage: opts.Outage,
-		})
-		for _, b := range bursts {
-			b := b
-			c.Schedule(b.At, func() {
-				for _, n := range b.Nodes {
-					fail(n)
-				}
-			})
-			if b.RecoverAt > 0 {
-				c.Schedule(b.RecoverAt, func() {
+			for _, b := range bursts {
+				c.Schedule(b.At, func() {
 					for _, n := range b.Nodes {
-						recover(n)
+						e.drain(n)
+					}
+				})
+				if b.RecoverAt > 0 {
+					c.Schedule(b.RecoverAt, func() {
+						for _, n := range b.Nodes {
+							restore(n)
+						}
+					})
+				}
+			}
+		case ScenarioFlapping:
+			flaps := sim.PlanFlaps(chaosRng, sim.FlapOptions{
+				Nodes: spreadNodes(co.Nodes, opts.Flappers),
+				From:  opts.FlapFrom, Until: opts.FlapUntil,
+				MeanDown: opts.MeanDown, MeanUp: opts.MeanUp,
+			})
+			for _, tr := range flaps {
+				c.Schedule(tr.At, func() {
+					if tr.Down {
+						e.drain(tr.Node)
+					} else {
+						restore(tr.Node)
 					}
 				})
 			}
 		}
-	case ScenarioFlapping:
-		flaps := sim.PlanFlaps(chaosRng, sim.FlapOptions{
-			Nodes: spreadNodes(co.Nodes, opts.Flappers),
-			From:  opts.FlapFrom, Until: opts.FlapUntil,
-			MeanDown: opts.MeanDown, MeanUp: opts.MeanUp,
-		})
-		for _, tr := range flaps {
-			tr := tr
-			c.Schedule(tr.At, func() {
-				if tr.Down {
-					fail(tr.Node)
-				} else {
-					recover(tr.Node)
-				}
-			})
+
+		// The anti-entropy sweep: desired state vs configuration,
+		// offered through the same (possibly lossy) feed. It is the
+		// loss cell's recovery mechanism and a no-op wake source
+		// elsewhere (a clean cluster re-offers nothing).
+		var resync func()
+		resync = func() {
+			for _, ev := range reconcile(c, e.cfg, e.queue()) {
+				e.notify(ev)
+			}
+			c.Schedule(c.Now()+opts.resyncInterval(), resync)
 		}
+		c.Schedule(opts.resyncInterval(), resync)
+		c.Schedule(co.Horizon, func() {}) // pin the clock for censoring
 	}
 
-	// The anti-entropy sweep: desired state vs configuration, offered
-	// through the same (possibly lossy) feed. It is the loss cell's
-	// recovery mechanism and a no-op wake source elsewhere (a clean
-	// cluster re-offers nothing).
-	var resync func()
-	resync = func() {
-		for _, ev := range reconcile(c, cfg, queue()) {
-			feed(ev)
-		}
-		c.Schedule(c.Now()+opts.resyncInterval(), resync)
-	}
-	c.Schedule(opts.resyncInterval(), resync)
-
-	led := monitor.WatchLedger(c, drains.Rules)
-	recovery := monitor.WatchRecovery(c)
-	c.Schedule(co.Horizon, func() {}) // pin the clock for censoring
-
-	start := time.Now()
-	loop.Start(act)
-	c.Run(co.Horizon)
-	res.Wall = time.Since(start)
-
-	res.ViolationSeconds = led.Total()
-	res.Ledger = led
-	if top := led.TopVJobs(1); len(top) > 0 {
-		res.TopVJob, res.TopVJobSeconds = top[0].VJob, top[0].Seconds
-	}
-	if top := led.TopNodes(1); len(top) > 0 {
-		res.TopNode, res.TopNodeSeconds = top[0].Node, top[0].Seconds
-	}
-	res.RuleBreachSeconds = led.RuleBreachSeconds()
-	if recovery.Open {
-		res.Unrecovered = 1
-		recovery.CloseAt(c.Now())
-	}
-	res.Episodes = recovery.Episodes()
-	res.RecoveryP50 = recovery.Quantile(0.50)
-	res.RecoveryP95 = recovery.Quantile(0.95)
-	res.RecoveryMax = recovery.Max()
-	remediations, matched := obs.RemediationTimes(reconfigs, recovery.Starts, recovery.Durations)
-	res.MatchedEpisodes = matched
-	res.RemediationP50 = monitor.Quantile(remediations, 0.50)
-	res.RemediationP95 = monitor.Quantile(remediations, 0.95)
-	res.RemediationMax = monitor.Quantile(remediations, 1)
-	res.Breaches = inv.StructuralCount()
-	res.FinalViolations = len(cfg.Violations())
-	res.Stats = loop.Stats
-	res.Switches = len(loop.Records)
-	res.End = c.Now()
-	if scenario == ScenarioReplay {
-		res.Arrived = len(replay.Jobs())
-	}
-	for _, j := range queue() {
-		if c.VJobDone(j) {
-			res.Completed++
-		}
-	}
-	return res
+	e := s.run()
+	return ChaosResult{Scenario: cell, Dropped: dropped, Outcome: e.out}
 }
 
 // rackNames splits the node index space into racks contiguous groups
@@ -463,23 +269,7 @@ func rackNames(nodes, racks int) [][]string {
 	out := make([][]string, racks)
 	for i := 0; i < nodes; i++ {
 		r := i * racks / nodes
-		out[r] = append(out[r], fmt.Sprintf("node%03d", i))
-	}
-	return out
-}
-
-// spreadNodes picks count node names evenly over the index space,
-// like the drain study's order targets.
-func spreadNodes(nodes, count int) []string {
-	if count < 1 {
-		return nil
-	}
-	if count > nodes {
-		count = nodes
-	}
-	out := make([]string, count)
-	for i := range out {
-		out[i] = fmt.Sprintf("node%03d", i*nodes/count)
+		out[r] = append(out[r], nodeName(i))
 	}
 	return out
 }

@@ -142,8 +142,8 @@ func BenchmarkChurnLoopEvent(b *testing.B)    { benchChurn(b, true) }
 
 func TestChurnRendering(t *testing.T) {
 	rows := []ChurnResult{
-		{Mode: "periodic", Switches: 10, ViolationSeconds: 1234},
-		{Mode: "event-driven", Switches: 4, ViolationSeconds: 321},
+		{Mode: "periodic", Outcome: Outcome{Switches: 10, ViolationSeconds: 1234}},
+		{Mode: "event-driven", Outcome: Outcome{Switches: 4, ViolationSeconds: 321}},
 	}
 	rows[0].Stats.SubSolves = 100
 	rows[1].Stats.SubSolves = 20

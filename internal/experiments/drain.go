@@ -2,19 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
 
 	"cwcs/internal/core"
-	"cwcs/internal/drivers"
-	"cwcs/internal/duration"
-	"cwcs/internal/monitor"
-	"cwcs/internal/sched"
-	"cwcs/internal/sim"
-	"cwcs/internal/vjob"
-	"cwcs/internal/workload"
 )
 
 // DrainOptions parameterizes the node-maintenance study: a cluster
@@ -70,7 +62,9 @@ func DefaultDrainOptions() DrainOptions {
 	}
 }
 
-// DrainResult is the study's measurements.
+// DrainResult is the study's measurements. Breaches (always audited)
+// counts structural corruption by the drain/offline machinery (0 =
+// none).
 type DrainResult struct {
 	// Nodes is the cluster size; Drained how many received the order.
 	Nodes, Drained int
@@ -90,162 +84,67 @@ type DrainResult struct {
 	// TimeToEmpty is the virtual time from DrainAt until no drained
 	// node hosted a running VM, or -1 when the horizon hit first.
 	TimeToEmpty float64
-	// ViolationSeconds integrates len(Violations()) over virtual time.
-	ViolationSeconds float64
-	// InvariantBreaches counts the structural sim.WatchInvariants
-	// errors — negative usage, placements on absent nodes (0 = the
-	// drain/offline machinery never corrupted the configuration).
-	// Capacity overloads from churn are expected and measured by
-	// ViolationSeconds instead.
-	InvariantBreaches int
-	// Stats is the loop telemetry; Switches the executed switches.
-	Stats    core.LoopStats
-	Switches int
-	// Arrived and Completed count vjobs over the run.
-	Arrived, Completed int
-	// End is the virtual time the run finished; Wall the real time it
-	// took.
-	End  float64
-	Wall time.Duration
+	Outcome
 }
 
-// RunDrain replays the drain scenario.
+// RunDrain replays the drain scenario. Beyond the shared episode, the
+// study adds the drain orders and the emptiness probe.
 func RunDrain(opts DrainOptions) DrainResult {
-	genRng := rand.New(rand.NewSource(opts.Seed))
-	arrRng := rand.New(rand.NewSource(opts.Seed + 1))
-
-	cfg := vjob.NewConfiguration()
-	for i := 0; i < opts.Nodes; i++ {
-		cfg.AddNode(vjob.NewNode(fmt.Sprintf("node%03d", i), opts.NodeCPU, opts.NodeMemory))
-	}
-	c := sim.New(cfg, duration.Default())
-	inv := sim.WatchInvariants(c)
-
-	var jobs []*vjob.VJob
-	submit := func(i int) workload.Spec {
-		bench := workload.Benchmarks[i%len(workload.Benchmarks)]
-		class := workload.Classes[1+i%2]
-		spec := workload.NewSpec(fmt.Sprintf("vjob%03d", i), bench, class, opts.VMsPerVJob, i, genRng)
-		scalePhases(&spec, opts.WorkScale)
-		spec.Install(cfg, c)
-		jobs = append(jobs, spec.Job)
-		return spec
-	}
-	for i := 0; i < opts.InitialVJobs; i++ {
-		submit(i)
-	}
-
-	res := DrainResult{Nodes: opts.Nodes, Arrived: opts.InitialVJobs, TimeToEmpty: -1}
-
-	drains := &core.DrainSet{}
-	loop := &core.Loop{
-		Decision:    queueTerminator{c: c, inner: sched.Consolidation{}, queue: func() []*vjob.VJob { return jobs }},
-		Optimizer:   core.Optimizer{Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions},
-		EventDriven: true,
-		Debounce:    opts.Debounce,
-		Drains:      drains,
-		Queue:       func() []*vjob.VJob { return jobs },
-	}
-	act := &drivers.Actuator{C: c}
-	c.OnLoadChange(func(vm string) {
-		loop.Notify(act, core.Event{Kind: core.LoadChange, At: c.Now(), VMs: []string{vm}})
-	})
-
-	// Poisson arrivals until ArrivalStop: the drain competes with
-	// normal churn for the loop's attention.
-	idx := opts.InitialVJobs
-	var scheduleArrival func()
-	scheduleArrival = func() {
-		dt := arrRng.ExpFloat64() / opts.ArrivalRate
-		at := c.Now() + dt
-		if at > opts.ArrivalStop {
-			return
-		}
-		c.Schedule(at, func() {
-			spec := submit(idx)
-			idx++
-			res.Arrived++
-			names := make([]string, len(spec.Job.VMs))
-			for i, v := range spec.Job.VMs {
-				names[i] = v.Name
-			}
-			loop.Notify(act, core.Event{Kind: core.VMArrival, At: c.Now(), VMs: names})
-			scheduleArrival()
-		})
-	}
-	if opts.ArrivalRate > 0 {
-		scheduleArrival()
-	}
-
 	// The drain orders: DrainFraction of the nodes, spread evenly.
 	count := int(float64(opts.Nodes)*opts.DrainFraction + 0.5)
 	if count < 1 {
 		count = 1
 	}
-	res.Drained = count
-	drained := make([]string, count)
-	for i := 0; i < count; i++ {
-		drained[i] = fmt.Sprintf("node%03d", i*opts.Nodes/count)
-	}
-	c.Schedule(opts.DrainAt, func() {
-		for _, n := range drained {
-			drains.Drain(n)
-			ev := core.Event{Kind: core.NodeDown, At: c.Now(), Nodes: []string{n}}
-			for _, v := range cfg.RunningOn(n) {
-				ev.VMs = append(ev.VMs, v.Name)
-			}
-			loop.Notify(act, ev)
-		}
-	})
+	drained := spreadNodes(opts.Nodes, count)
+	res := DrainResult{Nodes: opts.Nodes, Drained: len(drained), TimeToEmpty: -1}
 
-	// drainedLoad reports whether any drained node still hosts a
-	// running VM.
-	drainedLoad := func() bool {
-		for _, n := range drained {
-			if len(cfg.RunningOn(n)) > 0 {
-				return true
+	s := scenario{eventDriven: true, opts: ChurnOptions{
+		Nodes: opts.Nodes, NodeCPU: opts.NodeCPU, NodeMemory: opts.NodeMemory,
+		InitialVJobs: opts.InitialVJobs, VMsPerVJob: opts.VMsPerVJob,
+		ArrivalRate: opts.ArrivalRate, ArrivalStop: opts.ArrivalStop,
+		WorkScale: opts.WorkScale, Horizon: opts.Horizon, Debounce: opts.Debounce,
+		Timeout: opts.Timeout, Workers: opts.Workers, Partitions: opts.Partitions,
+		WatchInvariants: true,
+		Seed:            opts.Seed,
+	}}
+	s.setup = func(e *episode) {
+		c := e.c
+		c.Schedule(opts.DrainAt, func() {
+			for _, n := range drained {
+				e.drain(n)
 			}
-		}
-		return false
-	}
-
-	// Emptiness probe: a cheap periodic tick (not per-event) that
-	// records time-to-empty once and then takes fully empty nodes
-	// offline, notifying the loop like an operator would.
-	var probe func()
-	probe = func() {
-		if res.TimeToEmpty >= 0 {
-			return
-		}
-		if !drainedLoad() {
+		})
+		// Emptiness probe: a cheap periodic tick (not per-event) that
+		// records time-to-empty once and then takes fully empty nodes
+		// offline, notifying the loop like an operator would.
+		var probe func()
+		probe = func() {
+			for _, n := range drained {
+				if len(e.cfg.RunningOn(n)) > 0 {
+					c.Schedule(c.Now()+2, probe)
+					return
+				}
+			}
 			res.TimeToEmpty = c.Now() - opts.DrainAt
 			for _, n := range drained {
 				if c.SetNodeOffline(n) == nil {
 					res.Offline++
-					loop.Notify(act, core.Event{Kind: core.NodeDown, At: c.Now(), Nodes: []string{n}})
+					e.notify(core.Event{Kind: core.NodeDown, At: c.Now(), Nodes: []string{n}})
 				}
 			}
-			return
 		}
-		c.Schedule(c.Now()+2, probe)
+		c.Schedule(opts.DrainAt+2, probe)
 	}
-	c.Schedule(opts.DrainAt+2, probe)
-
-	violSec := monitor.WatchViolationSeconds(c)
-
-	start := time.Now()
-	loop.Start(act)
-	c.Run(opts.Horizon)
-	res.Wall = time.Since(start)
-	res.ViolationSeconds = violSec()
+	e := s.run()
+	res.Outcome = e.out
 
 	pinned := make(map[string]bool)
 	for _, n := range drained {
-		if len(cfg.RunningOn(n)) != 0 {
+		if len(e.cfg.RunningOn(n)) != 0 {
 			continue
 		}
 		res.Evacuated++
-		if sleeping := cfg.SleepingOn(n); len(sleeping) > 0 {
+		if sleeping := e.cfg.SleepingOn(n); len(sleeping) > 0 {
 			res.PinnedByImage++
 			for _, v := range sleeping {
 				owner := v.Name
@@ -260,15 +159,6 @@ func RunDrain(opts DrainOptions) DrainResult {
 		res.PinnedVJobs = append(res.PinnedVJobs, owner)
 	}
 	sort.Strings(res.PinnedVJobs)
-	res.InvariantBreaches = inv.StructuralCount()
-	res.Stats = loop.Stats
-	res.Switches = len(loop.Records)
-	res.End = c.Now()
-	for _, j := range jobs {
-		if c.VJobDone(j) {
-			res.Completed++
-		}
-	}
 	return res
 }
 
@@ -287,7 +177,7 @@ func DrainTable(r DrainResult) string {
 			"pinned-by-image", r.PinnedByImage, strings.Join(r.PinnedVJobs, ","))
 	}
 	fmt.Fprintf(&b, "%-22s %.0f\n", "violation-seconds", r.ViolationSeconds)
-	fmt.Fprintf(&b, "%-22s %d\n", "invariant breaches", r.InvariantBreaches)
+	fmt.Fprintf(&b, "%-22s %d\n", "invariant breaches", r.Breaches)
 	fmt.Fprintf(&b, "%-22s %d sub-solves (%d slice, %d full), %d repairs, %d partition reuses\n",
 		"solver", r.Stats.SubSolves, r.Stats.SliceSolves, r.Stats.FullSolves, r.Stats.Repairs, r.Stats.PartitionReuses)
 	fmt.Fprintf(&b, "%-22s %d switches, %d/%d vjobs completed, end t=%.0f s\n",
@@ -301,7 +191,7 @@ func DrainCSV(r DrainResult) string {
 	b.WriteString("nodes,drained,evacuated,offline,pinned_by_image,time_to_empty,violation_seconds,invariant_breaches,sub_solves,slice_solves,full_solves,repairs,partition_reuses,switches,events,arrived,completed,end\n")
 	fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%.1f,%.1f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.0f\n",
 		r.Nodes, r.Drained, r.Evacuated, r.Offline, r.PinnedByImage, r.TimeToEmpty, r.ViolationSeconds,
-		r.InvariantBreaches, r.Stats.SubSolves, r.Stats.SliceSolves, r.Stats.FullSolves,
+		r.Breaches, r.Stats.SubSolves, r.Stats.SliceSolves, r.Stats.FullSolves,
 		r.Stats.Repairs, r.Stats.PartitionReuses, r.Switches, r.Stats.Events,
 		r.Arrived, r.Completed, r.End)
 	return b.String()
